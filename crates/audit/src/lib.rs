@@ -37,7 +37,7 @@ pub mod score;
 pub mod window;
 
 pub use auditor::{Alert, AuditReport, Auditor, KeySummary, QueryAudit};
-pub use config::{AuditConfig, AuditLogConfig};
+pub use config::AuditConfig;
 pub use sampler::AuditSampler;
 pub use score::{score, AuditKey, AuditScore, AuditedAggregate};
 pub use window::{ConfusionCounts, SlidingWindow};

@@ -16,7 +16,8 @@
 //! Fixed seed + one worker thread ⇒ the report on stdout is
 //! bit-identical across runs (timings go to stderr/metrics only).
 
-use aqp_audit::{AuditConfig, AuditLogConfig};
+use aqp_audit::AuditConfig;
+use aqp_obs::LogConfig;
 use aqp_bench::{section, tsv_row, Args};
 use aqp_core::{AqpSession, SessionConfig};
 use aqp_workload::{conviva_sessions_table, facebook_events_table};
@@ -61,7 +62,7 @@ fn main() {
         window: 200,
         coverage_alert_below: 0.90,
         min_window_for_alert: 30,
-        log: audit_log.as_ref().map(AuditLogConfig::at),
+        log: audit_log.as_ref().map(LogConfig::at),
         column_families: families
             .iter()
             .map(|&(c, f)| (c.to_string(), f.to_string()))

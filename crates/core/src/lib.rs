@@ -40,6 +40,7 @@ pub mod answer;
 pub mod progressive;
 pub mod sample_selection;
 pub mod session;
+mod telemetry;
 
 pub use answer::{AnswerMode, AqpAnswer};
 pub use progressive::{ProgressiveResult, ProgressiveStep};

@@ -1,9 +1,11 @@
 //! The AQP session: registration, sampling, and reliable execution.
 
-use aqp_audit::{AuditConfig, AuditReport, AuditedAggregate, Auditor, QueryAudit};
+use std::sync::Arc;
+
+use aqp_audit::{AuditConfig, AuditReport};
 use aqp_diagnostics::DiagnosticConfig;
 use aqp_exec::engine::{execute_approx, execute_exact_observed, ApproxOptions, MethodChoice};
-use aqp_exec::result::StageTimings;
+use aqp_exec::result::{AggResult, ApproxResult, ExactResult, StageTimings};
 use aqp_exec::udf::UdfRegistry;
 use aqp_obs::{name, stage, ObsHandle, QueryTrace, TraceRecorder};
 use aqp_prof::{ExplainMode, OpProfile};
@@ -17,6 +19,7 @@ use parking_lot::Mutex;
 
 use crate::answer::{AnswerMode, AqpAnswer};
 use crate::sample_selection::required_sample_rows;
+use crate::telemetry::{QueryTags, Telemetry};
 use crate::Result;
 
 /// Session-level configuration.
@@ -105,59 +108,32 @@ impl Default for SessionConfig {
     }
 }
 
-/// The live SLO machinery: the burn-rate engine plus the always-on
-/// flight recorder. Constructed only when `SessionConfig::slo` is set.
-struct SloRuntime {
-    engine: aqp_slo::SloEngine,
-    recorder: aqp_obs::FlightRecorder,
-}
-
-/// The live continuous profiler: the class-routing config plus the
-/// fleet-cumulative profile every query folds into. Constructed only
-/// when `SessionConfig::contprof` is set.
-struct ContProfRuntime {
-    config: aqp_prof::contprof::ContProfConfig,
-    cumulative: Mutex<aqp_prof::contprof::CumulativeProfile>,
-}
-
 /// A reliable-AQP session.
 pub struct AqpSession {
     catalog: Catalog,
     registry: Mutex<UdfRegistry>,
     config: SessionConfig,
-    auditor: Option<Auditor>,
-    slo: Option<SloRuntime>,
-    contprof: Option<ContProfRuntime>,
-    introspect: Option<aqp_introspect::Introspector>,
+    telemetry: Telemetry,
+}
+
+/// A parsed and planned query over its leaf table: the preamble every
+/// execution path shares.
+struct Prepared {
+    query: Query,
+    table_name: String,
+    table: Arc<Table>,
+    plan: LogicalPlan,
+    registry: UdfRegistry,
 }
 
 impl AqpSession {
     /// Create a session.
     pub fn new(config: SessionConfig) -> Self {
-        let auditor = config
-            .audit
-            .clone()
-            .map(|cfg| Auditor::new(cfg, &config.obs));
-        let slo = config.slo.clone().map(|cfg| SloRuntime {
-            recorder: aqp_obs::FlightRecorder::new(cfg.recorder.clone(), &config.obs.metrics),
-            engine: aqp_slo::SloEngine::new(cfg, &config.obs),
-        });
-        let contprof = config.contprof.clone().map(|cfg| ContProfRuntime {
-            config: cfg,
-            cumulative: Mutex::new(aqp_prof::contprof::CumulativeProfile::new()),
-        });
-        let introspect = config
-            .introspect
-            .clone()
-            .map(|cfg| aqp_introspect::Introspector::new(cfg, &config.obs));
         AqpSession {
             catalog: Catalog::new(),
             registry: Mutex::new(UdfRegistry::default()),
+            telemetry: Telemetry::new(&config),
             config,
-            auditor,
-            slo,
-            contprof,
-            introspect,
         }
     }
 
@@ -169,18 +145,18 @@ impl AqpSession {
     /// The accuracy auditor's scorekeeping so far (`None` when auditing
     /// is off).
     pub fn audit_report(&self) -> Option<AuditReport> {
-        self.auditor.as_ref().map(|a| a.report())
+        self.telemetry.audit_report()
     }
 
     /// The SLO engine's scorekeeping so far — burn rates, budgets,
     /// drift streams, and the alert history (`None` when SLOs are off).
     pub fn slo_report(&self) -> Option<aqp_slo::SloReport> {
-        self.slo.as_ref().map(|s| s.engine.report())
+        self.telemetry.slo_report()
     }
 
     /// The always-on flight recorder (`None` when SLOs are off).
     pub fn flight_recorder(&self) -> Option<&aqp_obs::FlightRecorder> {
-        self.slo.as_ref().map(|s| &s.recorder)
+        self.telemetry.flight_recorder()
     }
 
     /// A snapshot of the fleet-cumulative operator profile accumulated
@@ -188,7 +164,7 @@ impl AqpSession {
     /// different sessions/processes combine with
     /// [`CumulativeProfile::merge`](aqp_prof::contprof::CumulativeProfile::merge).
     pub fn cumulative_profile(&self) -> Option<aqp_prof::contprof::CumulativeProfile> {
-        self.contprof.as_ref().map(|cp| cp.cumulative.lock().clone())
+        self.telemetry.cumulative_profile()
     }
 
     /// Register an aggregate UDF.
@@ -309,21 +285,38 @@ impl AqpSession {
     /// Render the rewritten plan an `execute` of this SQL would run,
     /// without executing it.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let query = parse_query(sql)?;
-        let table_name = leaf_table_name(&query)?;
-        let table = self.catalog.table(&table_name)?;
-        let plan = plan_query(&query, table.schema())?;
-        let has_samples = self
-            .catalog
-            .with_samples(&table_name, |s| Ok(s.uniform_samples().next().is_some()))
-            .unwrap_or(false);
-        if !has_samples {
-            return Ok(plan.explain());
+        let p = self.prepare(sql, &self.config.obs.recorder())?;
+        if !self.has_uniform_samples(&p.table_name) {
+            return Ok(p.plan.explain());
         }
+        let (rewritten, _) = self.rewrite(&p.query, p.plan, self.config.pilot_rows.max(1_000));
+        Ok(rewritten.explain())
+    }
+
+    fn has_uniform_samples(&self, table_name: &str) -> bool {
+        self.catalog
+            .with_samples(table_name, |s| Ok(s.uniform_samples().next().is_some()))
+            .unwrap_or(false)
+    }
+
+    /// The confidence of `query`'s error clause, else the session default.
+    fn confidence(&self, query: &Query) -> f64 {
+        query.error_clause.map(|e| e.confidence).unwrap_or(self.config.default_confidence)
+    }
+
+    /// The plan rewrite (§5.3): one consolidated resample, pushed down,
+    /// with the diagnostic (when on) scaled to `diagnostic_rows` sample
+    /// rows. Returns the rewritten plan and that diagnostic config.
+    fn rewrite(
+        &self,
+        query: &Query,
+        plan: LogicalPlan,
+        diagnostic_rows: usize,
+    ) -> (LogicalPlan, Option<DiagnosticConfig>) {
         let diag_cfg = self
             .config
             .run_diagnostics
-            .then(|| DiagnosticConfig::scaled_to(self.config.pilot_rows.max(1_000), self.config.diagnostic_p));
+            .then(|| DiagnosticConfig::scaled_to(diagnostic_rows, self.config.diagnostic_p));
         let spec = ResampleSpec {
             bootstrap_k: self.config.bootstrap_k,
             diagnostic: diag_cfg.as_ref().map(|c| DiagnosticWeights {
@@ -337,14 +330,14 @@ impl AqpSession {
         } else {
             ErrorMethod::Bootstrap
         };
-        Ok(rewrite_for_error_estimation(
+        let rewritten = rewrite_for_error_estimation(
             plan,
             spec,
             method,
-            query.error_clause.map(|e| e.confidence).unwrap_or(self.config.default_confidence),
+            self.confidence(query),
             ResamplePlacement::PushedDown,
-        )
-        .explain())
+        );
+        (rewritten, diag_cfg)
     }
 
     /// Execute a SQL query, approximately when samples and/or an error
@@ -357,123 +350,42 @@ impl AqpSession {
     pub fn execute(&self, sql: &str) -> Result<AqpAnswer> {
         let obs = &self.config.obs;
         obs.metrics.counter(name::CORE_QUERIES).inc();
-        // Queries over the reserved `_telemetry` namespace read the
-        // introspection tables: materialize any reservoir that changed
-        // since the last sync (and rebuild its uniform sample) first,
-        // so the answer — approximate or exact — sees current data.
-        if let Some(intr) = &self.introspect {
-            if intr.is_introspection_query(sql) {
-                intr.count_served();
-                intr.sync_into(&self.catalog)?;
-            }
-        }
+        self.telemetry.sync(sql, &self.catalog)?;
+        let tags = self.telemetry.tag(sql);
         let started = obs.clock.now();
         let rec = obs.recorder();
-        let result = self.execute_traced(sql, &rec);
+        let result = self.execute_traced(&tags, &rec);
         let elapsed = obs.clock.now().duration_since(started);
         obs.metrics
             .histogram(name::CORE_QUERY_MS)
             .record_ms(elapsed.as_secs_f64() * 1e3);
         let answer = finish_with_trace(rec, result, self.config.explain);
-        if let Some(cp) = &self.contprof {
-            if let Ok(a) = &answer {
-                let eval_started = obs.clock.now();
-                let class = cp.config.classify(sql);
-                let profile =
-                    a.profile.clone().or_else(|| OpProfile::from_trace(&a.trace));
-                if let Some(root) = profile {
-                    cp.cumulative.lock().observe(class, std::slice::from_ref(&root));
-                }
-                obs.metrics.counter(name::PROF_CONTPROF_QUERIES).inc();
-                if aqp_obs::alloc::enabled() {
-                    let m = aqp_obs::alloc::stats();
-                    obs.metrics.gauge(name::MEM_ALLOCS).set(m.allocs as f64);
-                    obs.metrics.gauge(name::MEM_ALLOC_BYTES).set(m.alloc_bytes as f64);
-                    obs.metrics.gauge(name::MEM_CURRENT_BYTES).set(m.current_bytes as f64);
-                    obs.metrics.gauge(name::MEM_PEAK_BYTES).set(m.peak_bytes as f64);
-                }
-                obs.metrics
-                    .histogram(name::PROF_CONTPROF_EVAL_MS)
-                    .record_ms(obs.clock.now().duration_since(eval_started).as_secs_f64() * 1e3);
-            }
-        }
-        let mut latency_alerts: Vec<(String, String, String)> = Vec::new();
-        if let Some(slo) = &self.slo {
-            let eval_started = obs.clock.now();
-            if let Ok(a) = &answer {
-                slo.recorder.record(a.trace.clone());
-            }
-            let class = slo.engine.classify(sql);
-            let alerts = slo.engine.observe_latency(class, elapsed, eval_started);
-            for alert in &alerts {
-                let reason =
-                    format!("slo:{}:{}", alert.severity.as_str(), alert.objective);
-                slo.recorder.dump_with_context(
-                    &reason,
-                    &obs.metrics.snapshot(),
-                    &[
-                        ("class", alert.class.as_str()),
-                        ("objective", alert.objective.as_str()),
-                        ("severity", alert.severity.as_str()),
-                        ("trigger", "latency"),
-                    ],
-                );
-            }
-            if self.introspect.is_some() {
-                latency_alerts.extend(alerts.iter().map(|a| {
-                    (
-                        a.objective.clone(),
-                        a.severity.as_str().to_string(),
-                        "latency".to_string(),
-                    )
-                }));
-            }
-            obs.metrics
-                .histogram(name::SLO_EVAL_MS)
-                .record_ms(obs.clock.now().duration_since(eval_started).as_secs_f64() * 1e3);
-        }
-        if let Some(intr) = &self.introspect {
-            if let Ok(a) = &answer {
-                if intr.should_fold(sql) {
-                    let eval_started = obs.clock.now();
-                    let profile =
-                        a.profile.clone().or_else(|| OpProfile::from_trace(&a.trace));
-                    intr.fold_query(&aqp_introspect::QueryRecord {
-                        sql,
-                        trace: &a.trace,
-                        mode: mode_label(a.mode),
-                        wall_ms: elapsed.as_secs_f64() * 1e3,
-                        sample_rows: a.sample_rows as u64,
-                        population_rows: a.population_rows as u64,
-                        groups: a.groups.len() as u64,
-                        fell_back: a.fell_back,
-                        degraded: a.degraded.is_some(),
-                        profile: profile.as_ref(),
-                        slo_alerts: &latency_alerts,
-                    });
-                    obs.metrics.histogram(name::INTROSPECT_EVAL_MS).record_ms(
-                        obs.clock.now().duration_since(eval_started).as_secs_f64() * 1e3,
-                    );
-                }
-            }
-        }
+        self.telemetry.after_query(&tags, elapsed, &answer);
         answer
     }
 
-    /// The body of [`execute`](AqpSession::execute), recording lifecycle
-    /// stages on `rec`.
-    fn execute_traced(&self, sql: &str, rec: &TraceRecorder) -> Result<AqpAnswer> {
+    /// Parse and plan `sql` under `PARSE`/`PLAN` spans, resolve its leaf
+    /// table, and snapshot the UDF registry.
+    fn prepare(&self, sql: &str, rec: &TraceRecorder) -> Result<Prepared> {
         let query = rec.in_span(stage::PARSE, || parse_query(sql))?;
         let table_name = leaf_table_name(&query)?;
         let table = self.catalog.table(&table_name)?;
         let plan = rec.in_span(stage::PLAN, || plan_query(&query, table.schema()))?;
         let registry = self.registry.lock().clone();
+        Ok(Prepared { query, table_name, table, plan, registry })
+    }
+
+    /// The body of [`execute`](AqpSession::execute), recording lifecycle
+    /// stages on `rec`.
+    fn execute_traced(&self, tags: &QueryTags<'_>, rec: &TraceRecorder) -> Result<AqpAnswer> {
+        let p = self.prepare(tags.sql, rec)?;
+        let query = &p.query;
 
         // --- Stratified fast path: a single-column GROUP BY with a
         // matching stratified sample uses per-stratum scaling. ---
         if query.group_by.len() == 1 && !query.is_nested() {
             let sel = rec.start(stage::SAMPLE_SELECTION);
-            let strat = self.catalog.with_samples(&table_name, |set| {
+            let strat = self.catalog.with_samples(&p.table_name, |set| {
                 Ok(set
                     .stratified_on(&query.group_by[0])
                     .map(|s| (s.meta.clone(), s.data.clone())))
@@ -482,35 +394,25 @@ impl AqpSession {
                 rec.attr(sel, "strategy", "stratified");
                 rec.attr(sel, "sample_rows", meta.rows);
                 rec.end(sel);
-                return self.execute_on_sample(
-                    sql, &query, &plan, &table, &registry, meta, sample_table, rec,
-                );
+                return self.execute_on_sample(tags, &p, meta, sample_table, rec);
             }
             rec.end(sel);
         }
 
-        let has_samples = self
-            .catalog
-            .with_samples(&table_name, |s| Ok(s.uniform_samples().next().is_some()))
-            .unwrap_or(false);
-        if !has_samples {
-            let answer = self.exact_answer(&plan, &table, &registry, AnswerMode::Exact, rec)?;
-            return apply_having(&query, answer);
+        if !self.has_uniform_samples(&p.table_name) {
+            let answer = self.exact_answer(&p, AnswerMode::Exact, rec)?;
+            return apply_having(query, answer);
         }
 
         // --- Sample selection. ---
         let sel = rec.start(stage::SAMPLE_SELECTION);
-        let confidence = query
-            .error_clause
-            .map(|e| e.confidence)
-            .unwrap_or(self.config.default_confidence);
         let wanted_rows = match query.error_clause {
             None => usize::MAX, // largest sample
             Some(e) => self
-                .pilot_required_rows(&plan, &table_name, table.num_rows(), &registry, e.relative_error, confidence, rec)?
+                .pilot_required_rows(&p, e.relative_error, self.confidence(query), rec)?
                 .unwrap_or(usize::MAX),
         };
-        let sample = self.catalog.with_samples(&table_name, |set| {
+        let sample = self.catalog.with_samples(&p.table_name, |set| {
             let s = match set.best_for(wanted_rows) {
                 Ok(s) => s,
                 Err(_) => set.largest().expect("non-empty sample set"),
@@ -524,55 +426,21 @@ impl AqpSession {
         }
         rec.attr(sel, "sample_rows", meta.rows);
         rec.end(sel);
-        self.execute_on_sample(sql, &query, &plan, &table, &registry, meta, sample_table, rec)
+        self.execute_on_sample(tags, &p, meta, sample_table, rec)
     }
-
 
     /// Run the approximate pipeline on a chosen sample (uniform or
     /// stratified) with the per-result reliability gate and exact merge.
-    #[allow(clippy::too_many_arguments)]
     fn execute_on_sample(
         &self,
-        sql: &str,
-        query: &Query,
-        plan: &LogicalPlan,
-        table: &Table,
-        registry: &UdfRegistry,
+        tags: &QueryTags<'_>,
+        p: &Prepared,
         meta: aqp_storage::SampleMeta,
         sample_table: Table,
         rec: &TraceRecorder,
     ) -> Result<AqpAnswer> {
-        let confidence = query
-            .error_clause
-            .map(|e| e.confidence)
-            .unwrap_or(self.config.default_confidence);
-
-        // --- Plan rewrite (§5.3): consolidated resample, pushed down. ---
-        let diag_cfg = if self.config.run_diagnostics {
-            Some(DiagnosticConfig::scaled_to(meta.rows, self.config.diagnostic_p))
-        } else {
-            None
-        };
-        let method = if query.closed_form_applicable() {
-            ErrorMethod::ClosedForm
-        } else {
-            ErrorMethod::Bootstrap
-        };
-        let spec = ResampleSpec {
-            bootstrap_k: self.config.bootstrap_k,
-            diagnostic: diag_cfg.as_ref().map(|c| DiagnosticWeights {
-                subsample_rows: c.subsample_rows.clone(),
-                p: c.p,
-            }),
-            seed: self.config.seed,
-        };
-        let rewritten = rewrite_for_error_estimation(
-            plan.clone(),
-            spec,
-            method,
-            confidence,
-            ResamplePlacement::PushedDown,
-        );
+        let (query, plan, table, registry) = (&p.query, &p.plan, &p.table, &p.registry);
+        let (rewritten, diag_cfg) = self.rewrite(query, plan.clone(), meta.rows);
 
         // Per-stratum scaling for stratified samples.
         let group_contexts = meta.strata.as_ref().map(|st| {
@@ -586,7 +454,7 @@ impl AqpSession {
         let opts = ApproxOptions {
             method: MethodChoice::Auto,
             bootstrap_k: self.config.bootstrap_k,
-            alpha: confidence,
+            alpha: self.confidence(query),
             diagnostic: diag_cfg,
             seed: self.config.seed,
             threads: self.config.threads,
@@ -602,19 +470,12 @@ impl AqpSession {
                 // recovery policy tolerates: refuse the degraded
                 // approximation and serve exact truth instead.
                 self.config.obs.metrics.counter(name::FAULTS_EXACT_FALLBACKS).inc();
-                if let Some(slo) = &self.slo {
-                    slo.recorder.dump_with_context(
-                        "exec:degraded",
-                        &self.config.obs.metrics.snapshot(),
-                        &[("trigger", "degraded_exact_fallback")],
-                    );
-                }
+                self.telemetry.degraded();
                 let gate = rec.start(stage::RELIABILITY_GATE);
                 rec.attr(gate, "degraded_lost_partitions", lost_partitions);
                 rec.attr(gate, "degraded_total_partitions", total_partitions);
                 rec.end(gate);
-                let answer =
-                    self.exact_answer(plan, table, registry, AnswerMode::ExactFallback, rec)?;
+                let answer = self.exact_answer(p, AnswerMode::ExactFallback, rec)?;
                 return apply_having(query, answer);
             }
             Err(e) => return Err(e.into()),
@@ -643,7 +504,7 @@ impl AqpSession {
         }
         if rejected == 0 {
             rec.end(gate);
-            self.maybe_audit(sql, &approx, None, plan, table, registry, rec);
+            self.maybe_audit(tags, p, &approx, None, rec);
             return apply_having(query, AqpAnswer {
                 groups: approx.groups,
                 mode: if self.config.run_diagnostics {
@@ -669,7 +530,7 @@ impl AqpSession {
         rec.graft(exact.trace.clone());
         // The fallback already paid for full-data truth; the auditor can
         // score this query for free.
-        self.maybe_audit(sql, &approx, Some(&exact), plan, table, registry, rec);
+        self.maybe_audit(tags, p, &approx, Some(&exact), rec);
         let approx_index: std::collections::HashMap<&str, &aqp_exec::result::GroupResult> =
             approx.groups.iter().map(|g| (g.key.as_str(), g)).collect();
         let merged: Vec<aqp_exec::result::GroupResult> = exact
@@ -681,27 +542,15 @@ impl AqpSession {
                     .iter()
                     .enumerate()
                     .map(|(ai, &exact_v)| {
-                        if let Some(g) = approx_index.get(key.as_str()) {
-                            if let Some(a) = g.aggs.get(ai) {
-                                if a.error_bars_reliable() {
-                                    return a.clone();
-                                }
-                                // Rejected: serve exact, keep the verdict.
-                                return aqp_exec::result::AggResult {
-                                    name: a.name.clone(),
-                                    estimate: exact_v,
-                                    ci: None,
-                                    method: aqp_exec::result::MethodUsed::None,
-                                    diagnostic: a.diagnostic.clone(),
-                                };
-                            }
-                        }
-                        aqp_exec::result::AggResult {
-                            name: format!("agg{ai}"),
-                            estimate: exact_v,
-                            ci: None,
-                            method: aqp_exec::result::MethodUsed::None,
-                            diagnostic: None,
+                        match approx_index.get(key.as_str()).and_then(|g| g.aggs.get(ai)) {
+                            Some(a) if a.error_bars_reliable() => a.clone(),
+                            // Rejected: serve exact, keep the verdict.
+                            Some(a) => AggResult {
+                                name: a.name.clone(),
+                                diagnostic: a.diagnostic.clone(),
+                                ..exact_agg(ai, exact_v)
+                            },
+                            None => exact_agg(ai, exact_v),
                         }
                     })
                     .collect(),
@@ -733,14 +582,11 @@ impl AqpSession {
     /// (progressive execution's per-step primitive).
     pub(crate) fn execute_with_sample_rows(&self, sql: &str, rows: usize) -> Result<AqpAnswer> {
         let rec = self.config.obs.recorder();
+        let tags = self.telemetry.tag(sql);
         let result = (|| {
-            let query = rec.in_span(stage::PARSE, || parse_query(sql))?;
-            let table_name = leaf_table_name(&query)?;
-            let table = self.catalog.table(&table_name)?;
-            let plan = rec.in_span(stage::PLAN, || plan_query(&query, table.schema()))?;
-            let registry = self.registry.lock().clone();
+            let p = self.prepare(sql, &rec)?;
             let sample = rec.in_span(stage::SAMPLE_SELECTION, || {
-                self.catalog.with_samples(&table_name, |set| {
+                self.catalog.with_samples(&p.table_name, |set| {
                     Ok(set
                         .uniform_samples()
                         .find(|s| s.meta.rows == rows)
@@ -752,7 +598,7 @@ impl AqpSession {
                     "no stored uniform sample of exactly {rows} rows"
                 )));
             };
-            self.execute_on_sample(sql, &query, &plan, &table, &registry, meta, sample_table, &rec)
+            self.execute_on_sample(&tags, &p, meta, sample_table, &rec)
         })();
         finish_with_trace(rec, result, self.config.explain)
     }
@@ -761,27 +607,21 @@ impl AqpSession {
     pub(crate) fn execute_exact_only(&self, sql: &str) -> Result<AqpAnswer> {
         let rec = self.config.obs.recorder();
         let result = (|| {
-            let query = rec.in_span(stage::PARSE, || parse_query(sql))?;
-            let table_name = leaf_table_name(&query)?;
-            let table = self.catalog.table(&table_name)?;
-            let plan = rec.in_span(stage::PLAN, || plan_query(&query, table.schema()))?;
-            let registry = self.registry.lock().clone();
-            let answer = self.exact_answer(&plan, &table, &registry, AnswerMode::Exact, &rec)?;
-            apply_having(&query, answer)
+            let p = self.prepare(sql, &rec)?;
+            let answer = self.exact_answer(&p, AnswerMode::Exact, &rec)?;
+            apply_having(&p.query, answer)
         })();
         finish_with_trace(rec, result, self.config.explain)
     }
 
-    fn exact_answer(
-        &self,
-        plan: &LogicalPlan,
-        table: &Table,
-        registry: &UdfRegistry,
-        mode: AnswerMode,
-        rec: &TraceRecorder,
-    ) -> Result<AqpAnswer> {
-        let exact =
-            execute_exact_observed(plan, table, registry, self.config.threads, &self.config.obs)?;
+    fn exact_answer(&self, p: &Prepared, mode: AnswerMode, rec: &TraceRecorder) -> Result<AqpAnswer> {
+        let exact = execute_exact_observed(
+            &p.plan,
+            &p.table,
+            &p.registry,
+            self.config.threads,
+            &self.config.obs,
+        )?;
         rec.graft(exact.trace.clone());
         let groups = exact
             .groups
@@ -791,13 +631,7 @@ impl AqpSession {
                 aggs: vals
                     .iter()
                     .enumerate()
-                    .map(|(i, &v)| aqp_exec::result::AggResult {
-                        name: format!("agg{i}"),
-                        estimate: v,
-                        ci: None,
-                        method: aqp_exec::result::MethodUsed::None,
-                        diagnostic: None,
-                    })
+                    .map(|(i, &v)| exact_agg(i, v))
                     .collect(),
             })
             .collect();
@@ -806,10 +640,10 @@ impl AqpSession {
             mode,
             fell_back: matches!(mode, AnswerMode::ExactFallback),
             sample_rows: 0,
-            population_rows: table.num_rows(),
+            population_rows: p.table.num_rows(),
             timings: StageTimings::default(),
             trace: QueryTrace::default(),
-            plan: plan.explain(),
+            plan: p.plan.explain(),
             profile: None,
             degraded: None,
         })
@@ -818,146 +652,57 @@ impl AqpSession {
     /// Consider a completed approximate query for auditing; when the
     /// deterministic sampler selects it, obtain full-data truth (reusing
     /// `exact` if the fallback path already computed it, otherwise
-    /// replaying under an `audit_replay` span) and hand the scored pairs
-    /// to the auditor. Infallible by design: an audit failure must never
+    /// replaying under an `audit_replay` span) and hand it to the
+    /// telemetry pass. Infallible by design: an audit failure must never
     /// fail or alter the query it audits.
-    #[allow(clippy::too_many_arguments)]
     fn maybe_audit(
         &self,
-        sql: &str,
-        approx: &aqp_exec::result::ApproxResult,
-        exact: Option<&aqp_exec::result::ExactResult>,
-        plan: &LogicalPlan,
-        table: &Table,
-        registry: &UdfRegistry,
+        tags: &QueryTags<'_>,
+        p: &Prepared,
+        approx: &ApproxResult,
+        exact: Option<&ExactResult>,
         rec: &TraceRecorder,
     ) {
-        let Some(auditor) = &self.auditor else { return };
-        let Some(ordinal) = auditor.should_audit() else { return };
+        let Some(ordinal) = self.telemetry.audit_ordinal() else { return };
         let obs = &self.config.obs;
-        let (truth_groups, replay_ms) = match exact {
-            Some(e) => (e.groups.clone(), 0.0),
+        let replay;
+        let (truth, replay_ms) = match exact {
+            Some(e) => (&e.groups, 0.0),
             None => {
                 let span = rec.start(stage::AUDIT_REPLAY);
                 let started = obs.clock.now();
-                let replay =
-                    execute_exact_observed(plan, table, registry, self.config.threads, obs);
+                let result = execute_exact_observed(
+                    &p.plan,
+                    &p.table,
+                    &p.registry,
+                    self.config.threads,
+                    obs,
+                );
                 let ms = obs.clock.now().duration_since(started).as_secs_f64() * 1e3;
                 // Nest the replay's own engine spans under the
                 // audit-replay span so `StageTimings::audit_replay()`
                 // and the operator profile both see the replay cost.
-                if let Ok(e) = &replay {
+                if let Ok(e) = &result {
                     rec.graft(e.trace.clone());
                 }
                 rec.end(span);
-                match replay {
-                    Ok(e) => (e.groups, ms),
-                    Err(_) => return,
-                }
+                let Ok(e) = result else { return };
+                replay = e;
+                (&replay.groups, ms)
             }
         };
-        let truth_index: std::collections::HashMap<&str, &Vec<f64>> =
-            truth_groups.iter().map(|(k, v)| (k.as_str(), v)).collect();
-        let cfg = auditor.config();
-        let mut aggregates = Vec::new();
-        for g in &approx.groups {
-            let Some(vals) = truth_index.get(g.key.as_str()) else { continue };
-            for (ai, a) in g.aggs.iter().enumerate() {
-                let Some(&truth) = vals.get(ai) else { continue };
-                let (agg, column) = split_agg_name(&a.name);
-                aggregates.push(AuditedAggregate {
-                    agg: agg.to_string(),
-                    column: column.to_string(),
-                    family: cfg.family_of(column).to_string(),
-                    estimate: a.estimate,
-                    ci: a.ci,
-                    diagnostic_accepted: a.diagnostic.as_ref().map(|d| d.accepted),
-                    truth,
-                });
-            }
-        }
-        let slo_scores: Vec<aqp_audit::AuditScore> = if self.slo.is_some() {
-            aggregates.iter().map(aqp_audit::score).collect()
-        } else {
-            Vec::new()
-        };
-        // Fold the scored aggregates into `_telemetry.audit` before the
-        // auditor consumes them (ingest takes ownership).
-        if let Some(intr) = &self.introspect {
-            if intr.should_fold(sql) {
-                intr.fold_audit(ordinal, sql, &aggregates);
-            }
-        }
-        let audit_alerts = auditor.ingest(QueryAudit {
-            ordinal,
-            sql: sql.to_string(),
-            replay_ms,
-            aggregates,
-        });
-        if let Some(intr) = &self.introspect {
-            if intr.should_fold(sql) {
-                for alert in &audit_alerts {
-                    intr.fold_slo_alert(sql, &alert.key, "warn", "audit");
-                }
-            }
-        }
-        if let Some(slo) = &self.slo {
-            let eval_started = obs.clock.now();
-            let class = slo.engine.classify(sql);
-            let (slo_alerts, _drift) =
-                slo.engine.observe_audit(class, &slo_scores, eval_started);
-            for alert in &audit_alerts {
-                slo.recorder.dump_with_context(
-                    &format!("audit:{}", alert.key),
-                    &obs.metrics.snapshot(),
-                    &[("class", class), ("trigger", "audit"), ("alert", alert.key.as_str())],
-                );
-            }
-            for alert in &slo_alerts {
-                let reason =
-                    format!("slo:{}:{}", alert.severity.as_str(), alert.objective);
-                slo.recorder.dump_with_context(
-                    &reason,
-                    &obs.metrics.snapshot(),
-                    &[
-                        ("class", alert.class.as_str()),
-                        ("objective", alert.objective.as_str()),
-                        ("severity", alert.severity.as_str()),
-                        ("trigger", "audit_score"),
-                    ],
-                );
-            }
-            if let Some(intr) = &self.introspect {
-                if intr.should_fold(sql) {
-                    for alert in &slo_alerts {
-                        intr.fold_slo_alert(
-                            sql,
-                            &alert.objective,
-                            alert.severity.as_str(),
-                            "audit_score",
-                        );
-                    }
-                }
-            }
-            obs.metrics
-                .histogram(name::SLO_EVAL_MS)
-                .record_ms(obs.clock.now().duration_since(eval_started).as_secs_f64() * 1e3);
-        }
+        self.telemetry.after_audit(tags, ordinal, replay_ms, approx, truth);
     }
 
     /// Run the pilot to translate an error clause into required rows.
-    #[allow(clippy::too_many_arguments)]
     fn pilot_required_rows(
         &self,
-        plan: &LogicalPlan,
-        table_name: &str,
-        population_rows: usize,
-        registry: &UdfRegistry,
+        p: &Prepared,
         rel_err: f64,
         confidence: f64,
         rec: &TraceRecorder,
     ) -> Result<Option<usize>> {
-        let pilot = self.catalog.with_samples(table_name, |set| {
+        let pilot = self.catalog.with_samples(&p.table_name, |set| {
             // The smallest stored uniform sample serves as the pilot.
             Ok(set
                 .best_for(1)
@@ -982,7 +727,7 @@ impl AqpSession {
             faults: None,
         };
         let approx =
-            execute_approx(plan, &pilot.data, population_rows, registry, &opts)?;
+            execute_approx(&p.plan, &pilot.data, p.table.num_rows(), &p.registry, &opts)?;
         // The pilot's engine stages nest under the open sample-selection
         // span — the pilot *is* part of choosing the sample.
         rec.graft(approx.trace.clone());
@@ -1019,17 +764,6 @@ fn finish_with_trace(
         a.trace = trace;
         a
     })
-}
-
-/// The `_telemetry.queries.mode` label of an answer mode.
-fn mode_label(mode: AnswerMode) -> &'static str {
-    match mode {
-        AnswerMode::Approximate => "approximate",
-        AnswerMode::ApproximateUnchecked => "approximate_unchecked",
-        AnswerMode::ExactFallback => "exact_fallback",
-        AnswerMode::PartialFallback => "partial_fallback",
-        AnswerMode::Exact => "exact",
-    }
 }
 
 /// Apply a HAVING predicate to an answer's groups: each group becomes a
@@ -1135,13 +869,14 @@ fn apply_having_inner(query: &Query, mut answer: AqpAnswer) -> Result<AqpAnswer>
     Ok(answer)
 }
 
-/// Split a display name like `AVG(time)` into `("AVG", "time")`
-/// (`COUNT(*)` → `("COUNT", "*")`; names without parens keep an empty
-/// column).
-fn split_agg_name(name: &str) -> (&str, &str) {
-    match name.split_once('(') {
-        Some((f, rest)) => (f, rest.strip_suffix(')').unwrap_or(rest)),
-        None => (name, ""),
+/// The exact value of aggregate `i`, served without an error bar.
+fn exact_agg(i: usize, estimate: f64) -> AggResult {
+    AggResult {
+        name: format!("agg{i}"),
+        estimate,
+        ci: None,
+        method: aqp_exec::result::MethodUsed::None,
+        diagnostic: None,
     }
 }
 

@@ -32,9 +32,10 @@ pub struct IntrospectConfig {
     /// the tables. Off by default: a dashboard refresh should not
     /// perturb the data it displays.
     pub allow_recursive: bool,
-    /// Workload-class routing for telemetry rows — the same shared
-    /// [`ClassRouter`] the SLO engine and continuous profiler use, so
-    /// all three slice the fleet identically.
+    /// Workload-class routing for telemetry rows. The SLO engine and
+    /// the continuous profiler match with the same [`ClassRouter`] rule,
+    /// but each config holds its own rules: register the same ones on
+    /// each to slice the fleet the same way.
     pub classes: ClassRouter,
 }
 

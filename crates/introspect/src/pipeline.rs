@@ -1,9 +1,9 @@
 //! The fold-in pipeline: per-query telemetry → reservoir rows →
 //! catalog-registered columnar tables.
 //!
-//! [`Introspector`] is owned by the session. After every non-telemetry
-//! query the session calls [`Introspector::fold_query`] with the
-//! finished trace and answer facts; before executing a query that
+//! [`Introspector`] is owned by the session's telemetry pass. After
+//! every non-telemetry query it calls [`Introspector::fold_query`] with
+//! the finished trace and answer facts; before executing a query that
 //! references the `_telemetry` namespace it calls
 //! [`Introspector::sync_into`], which re-materializes every table whose
 //! reservoir changed since the last sync and rebuilds its uniform
@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use aqp_audit::score::{score, AuditedAggregate};
+use aqp_audit::score::{AuditScore, AuditedAggregate};
 use aqp_obs::{name, Counter, MetricsRegistry, ObsHandle, QueryTrace};
 use aqp_prof::OpProfile;
 use aqp_stats::rng::SeedStream;
@@ -27,8 +27,8 @@ use crate::tables::{Cell, TelemetryTable, TABLE_AUDIT, TABLE_FAULTS, TABLE_METRI
 /// the duration of the fold.
 #[derive(Debug)]
 pub struct QueryRecord<'a> {
-    /// The query text (classified by the config's shared class router).
-    pub sql: &'a str,
+    /// The query's workload class under [`IntrospectConfig::classes`].
+    pub class: &'a str,
     /// The full lifecycle trace.
     pub trace: &'a QueryTrace,
     /// Answer mode label (`approximate`, `exact`, `exact_fallback`, …).
@@ -47,9 +47,6 @@ pub struct QueryRecord<'a> {
     pub degraded: bool,
     /// The per-query operator profile, when one was assembled.
     pub profile: Option<&'a OpProfile>,
-    /// SLO alerts this query latched, as `(objective, severity,
-    /// trigger)` strings.
-    pub slo_alerts: &'a [(String, String, String)],
 }
 
 struct State {
@@ -59,6 +56,17 @@ struct State {
     /// Per-table reservoir sequence at the last catalog sync, used to
     /// skip re-materializing unchanged tables.
     synced_seq: Vec<Option<u64>>,
+}
+
+impl State {
+    /// Offer one row to `table`'s reservoir; returns how many rows the
+    /// reservoir dropped to make room.
+    fn offer(&mut self, table: &str, row: Vec<Cell>) -> u64 {
+        let reservoir = &mut self.tables[index_of(table)].reservoir;
+        let before = reservoir.dropped();
+        reservoir.offer(row);
+        reservoir.dropped() - before
+    }
 }
 
 /// The in-process introspection pipeline (see the module docs).
@@ -129,10 +137,11 @@ impl Introspector {
 
     /// Fold one finished query's telemetry into the tables: a
     /// `_telemetry.queries` row, one `_telemetry.spans` row per trace
-    /// span, fault events, operator rows, SLO alerts, and (every
-    /// `metrics_every`th fold) a point-in-time metrics snapshot.
-    pub fn fold_query(&self, rec: &QueryRecord<'_>) {
-        let class = self.cfg.classes.classify(rec.sql).to_string();
+    /// span, fault events, operator rows, and (every `metrics_every`th
+    /// fold) a point-in-time metrics snapshot. Returns the query's
+    /// ordinal, the `query` column of its rows.
+    pub fn fold_query(&self, rec: &QueryRecord<'_>) -> u64 {
+        let class = rec.class.to_string();
         let mut state = self.state.lock();
         state.folded += 1;
         let qid = state.folded as i64;
@@ -143,16 +152,13 @@ impl Introspector {
         let mut ingested = 0u64;
         let mut dropped = 0u64;
         {
-            let state = &mut *state;
-            let mut offer = |idx: usize, row: Vec<Cell>| {
-                let before = state.tables[idx].reservoir.dropped();
-                state.tables[idx].reservoir.offer(row);
+            let mut offer = |table: &str, row: Vec<Cell>| {
                 ingested += 1;
-                dropped += state.tables[idx].reservoir.dropped() - before;
+                dropped += state.offer(table, row);
             };
 
             offer(
-                index_of(TABLE_QUERIES),
+                TABLE_QUERIES,
                 vec![
                     Cell::Int(qid),
                     Cell::Str(class.clone()),
@@ -170,7 +176,7 @@ impl Introspector {
                 let (stage, depth) = stage_of(rec.trace, i);
                 let wall_ms = span.duration().as_secs_f64() * 1e3;
                 offer(
-                    index_of(TABLE_SPANS),
+                    TABLE_SPANS,
                     vec![
                         Cell::Int(qid),
                         Cell::Str(class.clone()),
@@ -184,7 +190,7 @@ impl Introspector {
                     let task = span.attr("task").and_then(|v| v.parse::<i64>().ok());
                     let attempt = span.attr("attempt").and_then(|v| v.parse::<i64>().ok());
                     offer(
-                        index_of(TABLE_FAULTS),
+                        TABLE_FAULTS,
                         vec![
                             Cell::Int(qid),
                             Cell::Str(class.clone()),
@@ -206,7 +212,7 @@ impl Introspector {
                         format!("{prefix};{}", node.name)
                     };
                     offer(
-                        index_of(TABLE_OPS),
+                        TABLE_OPS,
                         vec![
                             Cell::Int(qid),
                             Cell::Str(class.clone()),
@@ -222,23 +228,10 @@ impl Introspector {
                 }
             }
 
-            for (objective, severity, trigger) in rec.slo_alerts {
-                offer(
-                    index_of(TABLE_SLO_ALERTS),
-                    vec![
-                        Cell::Int(qid),
-                        Cell::Str(class.clone()),
-                        Cell::Str(objective.clone()),
-                        Cell::Str(severity.clone()),
-                        Cell::Str(trigger.clone()),
-                    ],
-                );
-            }
-
             if let Some(snap) = &snap {
                 for (metric, v) in &snap.counters {
                     offer(
-                        index_of(TABLE_METRICS),
+                        TABLE_METRICS,
                         vec![
                             Cell::Int(qid),
                             Cell::Str(metric.clone()),
@@ -249,7 +242,7 @@ impl Introspector {
                 }
                 for (metric, v) in &snap.gauges {
                     offer(
-                        index_of(TABLE_METRICS),
+                        TABLE_METRICS,
                         vec![
                             Cell::Int(qid),
                             Cell::Str(metric.clone()),
@@ -260,7 +253,7 @@ impl Introspector {
                 }
                 for (metric, h) in &snap.histograms {
                     offer(
-                        index_of(TABLE_METRICS),
+                        TABLE_METRICS,
                         vec![
                             Cell::Int(qid),
                             Cell::Str(metric.clone()),
@@ -273,27 +266,28 @@ impl Introspector {
         }
         drop(state);
         self.queries_folded.inc();
-        self.rows_ingested.add(ingested);
-        if dropped > 0 {
-            self.rows_dropped.add(dropped);
-        }
+        self.count(ingested, dropped);
+        qid as u64
     }
 
     /// Fold the scored results of one audit replay into
-    /// `_telemetry.audit` — one row per audited group-aggregate, with
-    /// nullable score columns so `AVG(covered)` is the coverage rate
-    /// over scored results.
-    pub fn fold_audit(&self, ordinal: u64, sql: &str, aggregates: &[AuditedAggregate]) {
-        let class = self.cfg.classes.classify(sql).to_string();
+    /// `_telemetry.audit` — one row per audited group-aggregate (paired
+    /// with its score), with nullable score columns so `AVG(covered)`
+    /// is the coverage rate over scored results.
+    pub fn fold_audit(
+        &self,
+        class: &str,
+        ordinal: u64,
+        aggregates: &[AuditedAggregate],
+        scores: &[AuditScore],
+    ) {
         let mut state = self.state.lock();
-        let idx = index_of(TABLE_AUDIT);
         let mut ingested = 0u64;
         let mut dropped = 0u64;
-        for a in aggregates {
-            let s = score(a);
+        for (a, s) in aggregates.iter().zip(scores) {
             let row = vec![
                 Cell::Int(ordinal as i64),
-                Cell::Str(class.clone()),
+                Cell::Str(class.to_string()),
                 Cell::Str(a.agg.clone()),
                 Cell::Str(a.column.clone()),
                 Cell::Str(a.family.clone()),
@@ -304,40 +298,45 @@ impl Introspector {
                 opt_f64(s.covered.map(|c| f64::from(u8::from(c)))),
                 opt_f64(a.diagnostic_accepted.map(|c| f64::from(u8::from(c)))),
             ];
-            let before = state.tables[idx].reservoir.dropped();
-            state.tables[idx].reservoir.offer(row);
             ingested += 1;
-            dropped += state.tables[idx].reservoir.dropped() - before;
+            dropped += state.offer(TABLE_AUDIT, row);
         }
         drop(state);
+        self.count(ingested, dropped);
+    }
+
+    /// Fold one alert into `_telemetry.slo_alerts`, stamped with query
+    /// ordinal `query` — or, for an alert latched in the audit path
+    /// before its query folds (`None`), with the upcoming ordinal.
+    pub fn fold_slo_alert(
+        &self,
+        class: &str,
+        query: Option<u64>,
+        objective: &str,
+        severity: &str,
+        trigger: &str,
+    ) {
+        let mut state = self.state.lock();
+        let qid = query.unwrap_or(state.folded + 1) as i64;
+        let dropped = state.offer(
+            TABLE_SLO_ALERTS,
+            vec![
+                Cell::Int(qid),
+                Cell::Str(class.to_string()),
+                Cell::Str(objective.to_string()),
+                Cell::Str(severity.to_string()),
+                Cell::Str(trigger.to_string()),
+            ],
+        );
+        drop(state);
+        self.count(1, dropped);
+    }
+
+    /// Count rows offered to the reservoirs, and the rows they dropped.
+    fn count(&self, ingested: u64, dropped: u64) {
         self.rows_ingested.add(ingested);
         if dropped > 0 {
             self.rows_dropped.add(dropped);
-        }
-    }
-
-    /// Fold one SLO alert latched outside the per-query fold (audit
-    /// coverage alerts fire inside the audit path, before `fold_query`
-    /// runs for that query — the row is stamped with the upcoming query
-    /// ordinal).
-    pub fn fold_slo_alert(&self, sql: &str, objective: &str, severity: &str, trigger: &str) {
-        let class = self.cfg.classes.classify(sql).to_string();
-        let mut state = self.state.lock();
-        let qid = (state.folded + 1) as i64;
-        let idx = index_of(TABLE_SLO_ALERTS);
-        let before = state.tables[idx].reservoir.dropped();
-        state.tables[idx].reservoir.offer(vec![
-            Cell::Int(qid),
-            Cell::Str(class),
-            Cell::Str(objective.to_string()),
-            Cell::Str(severity.to_string()),
-            Cell::Str(trigger.to_string()),
-        ]);
-        let after = state.tables[idx].reservoir.dropped();
-        drop(state);
-        self.rows_ingested.inc();
-        if after > before {
-            self.rows_dropped.add(after - before);
         }
     }
 

@@ -1,17 +1,101 @@
 //! Append-only, size-rotated JSONL sinks.
 //!
-//! The audit subsystem (and any other long-running producer) persists
-//! one JSON object per line through a [`JsonlSink`]. The sink appends —
-//! never rewrites — and rotates the live file to `<path>.1`,
-//! `<path>.2`, … when it would grow past a byte budget, dropping the
-//! oldest rotation. All I/O errors are surfaced as `io::Result`; the
-//! sink never panics on the write path.
+//! The audit and SLO subsystems persist one JSON object per line
+//! through a [`JsonlLog`]: a [`JsonlSink`] opened lazily from a
+//! [`LogConfig`]. The sink appends — never rewrites — and rotates the
+//! live file to `<path>.1`, `<path>.2`, … when it would grow past a
+//! byte budget, dropping the oldest rotation. All I/O errors are
+//! surfaced as `io::Result`; the sink never panics on the write path.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use crate::metrics::Counter;
+use crate::metrics::{Counter, MetricsRegistry};
+use crate::name;
+
+/// Where (and how large) a rotating JSONL log is.
+#[derive(Debug, Clone)]
+pub struct LogConfig {
+    /// Live log file path (rotations get `.1`, `.2`, … suffixes).
+    pub path: PathBuf,
+    /// Byte budget of the live file before rotation.
+    pub max_bytes: u64,
+    /// Rotated files to keep (0 truncates in place).
+    pub max_rotations: usize,
+}
+
+impl LogConfig {
+    /// A log at `path` with the default 4 MiB budget and 3 rotations.
+    pub fn at(path: impl Into<PathBuf>) -> Self {
+        LogConfig { path: path.into(), max_bytes: 4 << 20, max_rotations: 3 }
+    }
+}
+
+/// A rotating JSONL log opened on its first write, so an unwritable
+/// path only disables logging, never the caller. A failed open or
+/// append counts on the owner's error counter and disables the log for
+/// good; a failed flush only counts.
+#[derive(Debug)]
+pub struct JsonlLog {
+    state: LogState,
+    errors: Counter,
+    /// `aqp.obs.sink_dropped_lines`, registered only when a log is
+    /// configured so log-less owners keep their metric surface.
+    dropped: Option<Counter>,
+}
+
+#[derive(Debug)]
+enum LogState {
+    /// No log configured, or it failed.
+    Off,
+    Unopened(LogConfig),
+    Open(JsonlSink),
+}
+
+impl JsonlLog {
+    /// A log for `cfg` (`None` = no log) that counts failures on
+    /// `errors`.
+    pub fn new(cfg: Option<LogConfig>, errors: Counter, metrics: &MetricsRegistry) -> Self {
+        let dropped = cfg.is_some().then(|| metrics.counter(name::OBS_SINK_DROPPED_LINES));
+        let state = match cfg {
+            Some(cfg) => LogState::Unopened(cfg),
+            None => LogState::Off,
+        };
+        JsonlLog { state, errors, dropped }
+    }
+
+    /// Append one line, opening the sink first if needed.
+    pub fn write(&mut self, line: &str) {
+        if let LogState::Unopened(cfg) = &self.state {
+            self.state = match JsonlSink::open(&cfg.path, cfg.max_bytes, cfg.max_rotations) {
+                Ok(s) => LogState::Open(match &self.dropped {
+                    Some(c) => s.with_dropped_lines_counter(c.clone()),
+                    None => s,
+                }),
+                Err(_) => {
+                    self.errors.inc();
+                    LogState::Off
+                }
+            };
+        }
+        if let LogState::Open(s) = &mut self.state {
+            if s.append(line).is_err() {
+                self.errors.inc();
+                self.state = LogState::Off;
+            }
+        }
+    }
+
+    /// Flush an open sink after a batch of writes.
+    pub fn flush(&mut self) {
+        if let LogState::Open(s) = &mut self.state {
+            if s.flush().is_err() {
+                self.errors.inc();
+            }
+        }
+    }
+}
 
 /// An append-only JSONL file with size-based rotation.
 ///

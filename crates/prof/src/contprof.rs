@@ -6,9 +6,9 @@
 //! accumulates every operator of every observed query into per-path
 //! counters (wall and self time, rows, bytes, resamples, worker
 //! busy/idle), bucketed by a workload class assigned from the query
-//! text by [`ContProfConfig::classify`] — the same substring routing
-//! the SLO engine uses, so profiles and objectives slice the fleet the
-//! same way.
+//! text by [`ContProfConfig::classify`] — the same substring matching
+//! the SLO engine uses; with the same rules registered on both,
+//! profiles and objectives slice the fleet the same way.
 //!
 //! # Merge algebra
 //!
@@ -37,8 +37,8 @@ pub const PATH_SEPARATOR: char = ';';
 
 /// Configuration for the session's continuous profiler: workload
 /// classes routed by SQL substring through the shared
-/// [`aqp_obs::router::ClassRouter`], first match wins — the same
-/// routing the SLO engine and the introspection pipeline use.
+/// [`aqp_obs::router::ClassRouter`], first match wins. The rules are
+/// this config's own; the SLO and introspection configs hold theirs.
 #[derive(Debug, Clone, Default)]
 pub struct ContProfConfig {
     /// Routing rules, in priority order.

@@ -2,14 +2,12 @@
 //! burn-rate windows/thresholds, drift-detector knobs, and the JSONL
 //! alert log.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
-use aqp_obs::FlightRecorderConfig;
+use aqp_obs::{FlightRecorderConfig, LogConfig};
 
-// Class routing is the shared `aqp_obs::router` substring router, so
-// SLO objectives, continuous profiles, and introspection rows slice
-// the fleet identically.
+// Class routing is the shared `aqp_obs::router` substring router; the
+// rules themselves are per config (see `SloConfig::classes`).
 pub use aqp_obs::router::{ClassRouter, ClassRule};
 
 /// What one objective promises.
@@ -154,24 +152,6 @@ impl Default for DriftConfig {
     }
 }
 
-/// Where (and how large) the rotating JSONL SLO log is.
-#[derive(Debug, Clone)]
-pub struct SloLogConfig {
-    /// Live log file path (rotations get `.1`, `.2`, … suffixes).
-    pub path: PathBuf,
-    /// Byte budget of the live file before rotation.
-    pub max_bytes: u64,
-    /// Rotated files to keep (0 truncates in place).
-    pub max_rotations: usize,
-}
-
-impl SloLogConfig {
-    /// A log at `path` with the default 4 MiB budget and 3 rotations.
-    pub fn at(path: impl Into<PathBuf>) -> Self {
-        SloLogConfig { path: path.into(), max_bytes: 4 << 20, max_rotations: 3 }
-    }
-}
-
 /// Configuration of the fleet-level SLO engine.
 ///
 /// Off by default at the session level (the session's `slo` field is
@@ -192,7 +172,7 @@ pub struct SloConfig {
     /// Drift-detector knobs.
     pub drift: DriftConfig,
     /// Rotating JSONL log for alerts and drift signals (`None` = no log).
-    pub log: Option<SloLogConfig>,
+    pub log: Option<LogConfig>,
     /// Flight-recorder sizing and dump path.
     pub recorder: FlightRecorderConfig,
 }
@@ -232,7 +212,7 @@ impl SloConfig {
     }
 
     /// Route alerts and drift signals to a rotating JSONL log.
-    pub fn with_log(mut self, log: SloLogConfig) -> Self {
+    pub fn with_log(mut self, log: LogConfig) -> Self {
         self.log = Some(log);
         self
     }
@@ -241,12 +221,6 @@ impl SloConfig {
     pub fn with_recorder(mut self, recorder: FlightRecorderConfig) -> Self {
         self.recorder = recorder;
         self
-    }
-
-    /// The workload class of `sql`: first matching rule, else
-    /// [`SloConfig::DEFAULT_CLASS`].
-    pub fn classify<'a>(&'a self, sql: &str) -> &'a str {
-        self.classes.classify(sql)
     }
 }
 
@@ -259,11 +233,11 @@ mod tests {
         let cfg = SloConfig::new()
             .with_class("interactive", "AVG(")
             .with_class("batch", "SUM(");
-        assert_eq!(cfg.classify("SELECT AVG(time) FROM sessions"), "interactive");
-        assert_eq!(cfg.classify("SELECT SUM(bytes) FROM sessions"), "batch");
+        assert_eq!(cfg.classes.classify("SELECT AVG(time) FROM sessions"), "interactive");
+        assert_eq!(cfg.classes.classify("SELECT SUM(bytes) FROM sessions"), "batch");
         // First rule wins even when both match.
-        assert_eq!(cfg.classify("SELECT AVG(a), SUM(b) FROM t"), "interactive");
-        assert_eq!(cfg.classify("SELECT COUNT(*) FROM t"), "default");
+        assert_eq!(cfg.classes.classify("SELECT AVG(a), SUM(b) FROM t"), "interactive");
+        assert_eq!(cfg.classes.classify("SELECT COUNT(*) FROM t"), "default");
     }
 
     #[test]

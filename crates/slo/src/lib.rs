@@ -38,7 +38,6 @@ pub mod engine;
 
 pub use config::{
     BurnThresholds, ClassRouter, ClassRule, DriftConfig, Objective, ObjectiveKind, SloConfig,
-    SloLogConfig,
     SloWindows,
 };
 pub use drift::{Detector, DriftDetector, DriftSignal, DriftStatus};

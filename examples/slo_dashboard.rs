@@ -31,8 +31,8 @@
 
 use reliable_aqp::audit::AuditConfig;
 use reliable_aqp::faults::FaultConfig;
-use reliable_aqp::obs::{Clock, FlightRecorderConfig, ObsHandle};
-use reliable_aqp::slo::{SloConfig, SloLogConfig};
+use reliable_aqp::obs::{Clock, FlightRecorderConfig, LogConfig, ObsHandle};
+use reliable_aqp::slo::SloConfig;
 use reliable_aqp::workload::{conviva_sessions_table, facebook_events_table};
 use reliable_aqp::{AqpSession, IntrospectConfig, SessionConfig};
 
@@ -60,7 +60,7 @@ fn main() {
         .with_coverage("tail", 0.95)
         .with_coverage(SloConfig::DEFAULT_CLASS, 0.95);
     if let Some(path) = &log_path {
-        slo = slo.with_log(SloLogConfig::at(path));
+        slo = slo.with_log(LogConfig::at(path));
     }
     slo = slo.with_recorder(match &dump_path {
         Some(path) => FlightRecorderConfig::at(8, path),

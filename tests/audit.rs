@@ -245,12 +245,12 @@ fn audit_overhead_is_bounded_at_ten_percent_sampling() {
 /// dropped.
 #[test]
 fn sink_dropped_lines_absent_without_log_and_exact_with_rotation() {
-    use reliable_aqp::audit::AuditLogConfig;
+    use reliable_aqp::obs::LogConfig;
 
     let dir = std::env::temp_dir().join(format!("aqp-audit-sink-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
 
-    let run = |log: Option<AuditLogConfig>| {
+    let run = |log: Option<LogConfig>| {
         let obs = ObsHandle::isolated(Clock::mock());
         let s = AqpSession::new(SessionConfig {
             seed: 5,
@@ -282,7 +282,7 @@ fn sink_dropped_lines_absent_without_log_and_exact_with_rotation() {
     // Control: a roomy log loses nothing; count total audit lines.
     let roomy = dir.join("roomy.jsonl");
     let _ = std::fs::remove_file(&roomy);
-    let snap = run(Some(AuditLogConfig::at(&roomy)));
+    let snap = run(Some(LogConfig::at(&roomy)));
     assert_eq!(snap.counter(name::OBS_SINK_DROPPED_LINES), Some(0));
     let count_lines = |p: &std::path::Path| -> u64 {
         std::fs::read_to_string(p).map(|s| s.lines().count() as u64).unwrap_or(0)
@@ -296,7 +296,7 @@ fn sink_dropped_lines_absent_without_log_and_exact_with_rotation() {
     let _ = std::fs::remove_file(&tiny);
     let tiny1 = std::path::PathBuf::from(format!("{}.1", tiny.display()));
     let _ = std::fs::remove_file(&tiny1);
-    let snap = run(Some(AuditLogConfig {
+    let snap = run(Some(LogConfig {
         path: tiny.clone(),
         max_bytes: 256,
         max_rotations: 1,
